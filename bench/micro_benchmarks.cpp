@@ -4,6 +4,8 @@
 // reproductions take and catch performance regressions in the simulator.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "exec/machine.hpp"
 #include "ml/c45.hpp"
 #include "pmu/counters.hpp"
@@ -15,40 +17,49 @@ namespace {
 
 using namespace fsml;
 
-void BM_SimL1Hits(benchmark::State& state) {
+// Times Machine::run alone: building the machine (which allocates every
+// core's tag stores), spawning its threads and tearing it down happen with
+// the clock paused, so the items/s figures measure simulated accesses.
+template <typename Spawn>
+void run_sim(benchmark::State& state, std::uint32_t cores, Spawn spawn) {
   std::uint64_t ops = 0;
   for (auto _ : state) {
-    exec::Machine m(sim::MachineConfig::westmere_dp(1), 1);
+    state.PauseTiming();
+    auto m = std::make_unique<exec::Machine>(
+        sim::MachineConfig::westmere_dp(cores), 1);
+    spawn(*m);
+    state.ResumeTiming();
+    ops += m->run().memory_ops;
+    state.PauseTiming();
+    m.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+
+void BM_SimL1Hits(benchmark::State& state) {
+  run_sim(state, 1, [](exec::Machine& m) {
     const sim::Addr a = m.arena().alloc_line_aligned(64);
     m.spawn([a](exec::ThreadCtx& ctx) -> exec::SimTask {
       for (int i = 0; i < 4096; ++i) co_await ctx.load(a);
     });
-    const auto r = m.run();
-    ops += r.memory_ops;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+  });
 }
 BENCHMARK(BM_SimL1Hits);
 
 void BM_SimStreamingLoads(benchmark::State& state) {
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    exec::Machine m(sim::MachineConfig::westmere_dp(1), 1);
+  run_sim(state, 1, [](exec::Machine& m) {
     const sim::Addr a = m.arena().alloc_page_aligned(4096 * 8);
     m.spawn([a](exec::ThreadCtx& ctx) -> exec::SimTask {
       for (int i = 0; i < 4096; ++i) co_await ctx.load(a + 8ULL * i);
     });
-    ops += m.run().memory_ops;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+  });
 }
 BENCHMARK(BM_SimStreamingLoads);
 
 void BM_SimFalseSharing(benchmark::State& state) {
   const auto threads = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    exec::Machine m(sim::MachineConfig::westmere_dp(threads), 1);
+  run_sim(state, threads, [threads](exec::Machine& m) {
     const sim::Addr base = m.arena().alloc_line_aligned(8ULL * threads);
     for (std::uint32_t t = 0; t < threads; ++t) {
       const sim::Addr slot = base + 8ULL * t;
@@ -56,9 +67,7 @@ void BM_SimFalseSharing(benchmark::State& state) {
         for (int i = 0; i < 1024; ++i) co_await ctx.store(slot);
       });
     }
-    ops += m.run().memory_ops;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+  });
 }
 BENCHMARK(BM_SimFalseSharing)->Arg(2)->Arg(6)->Arg(12);
 

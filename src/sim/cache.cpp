@@ -1,108 +1,114 @@
 #include "sim/cache.hpp"
 
-#include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 
 namespace fsml::sim {
 
-Cache::Cache(CacheGeometry geometry) : geometry_(geometry) {
-  geometry_.validate();
-  ways_.resize(static_cast<std::size_t>(geometry_.num_sets()) *
-               geometry_.ways);
+namespace {
+CacheGeometry validated(CacheGeometry geometry) {
+  geometry.validate();
+  FSML_CHECK_MSG(geometry.ways <= std::numeric_limits<std::uint8_t>::max() &&
+                     geometry.num_sets() <=
+                         std::numeric_limits<std::uint32_t>::max(),
+                 "cache geometry too large for the tag store");
+  return geometry;
+}
+}  // namespace
+
+Cache::Cache(CacheGeometry geometry)
+    : geometry_(validated(geometry)),
+      index_(geometry_),
+      ways_(geometry_.ways),
+      used_(index_.num_sets(), 0) {
+  const std::size_t bytes = 2 * geometry_.num_lines() * sizeof(std::uint64_t);
+  std::size_t space = bytes + kStoreAlign;
+  storage_ = std::make_unique_for_overwrite<std::uint64_t[]>(
+      space / sizeof(std::uint64_t));
+  void* start = storage_.get();
+  store_ = static_cast<std::uint64_t*>(
+      std::align(kStoreAlign, bytes, start, space));
 }
 
-Cache::Way* Cache::find(Addr addr) {
-  Way* const base = set_base(addr);
-  const std::uint64_t tag = geometry_.tag(addr);
-  for (Way* way = base; way != base + geometry_.ways; ++way)
-    if (way->state != MesiState::kInvalid && way->tag == tag) return way;
-  return nullptr;
+bool Cache::handle_current(const Way& w) const {
+  const Way now = probe(w.line);
+  return now.set == w.set && now.hit() == w.hit() &&
+         (!w.hit() || now.way == w.way);
 }
 
-const Cache::Way* Cache::find(Addr addr) const {
-  return const_cast<Cache*>(this)->find(addr);
-}
-
-MesiState Cache::state_of(Addr addr) const {
-  const Way* way = find(addr);
-  return way ? way->state : MesiState::kInvalid;
-}
-
-MesiState Cache::touch(Addr addr) {
-  Way* way = find(addr);
-  if (!way) return MesiState::kInvalid;
-  way->lru_stamp = ++stamp_;
-  return way->state;
-}
-
-std::optional<Eviction> Cache::fill(Addr addr, MesiState state) {
+std::optional<Eviction> Cache::fill(const Way& w, MesiState state) {
   FSML_DCHECK(state != MesiState::kInvalid);
-  if (Way* way = find(addr)) {
-    notify(geometry_.line_addr(addr), way->state, state);
-    way->state = state;
-    way->lru_stamp = ++stamp_;
+  FSML_DCHECK(handle_current(w));
+  std::uint64_t* const k = keys(w.set);
+  std::uint64_t* const lru = stamps(w.set);
+  const std::uint64_t key = key_of(index_.line_number(w.line));
+  if (w.hit()) {
+    notify(w.line, state_of_key(k[w.way]), state);
+    k[w.way] = key | static_cast<std::uint64_t>(state);
+    lru[w.way] = ++stamp_;
     return std::nullopt;
   }
-  Way* const base = set_base(addr);
-  // Prefer an invalid way; otherwise evict true-LRU.
-  Way* victim = nullptr;
-  for (Way* way = base; way != base + geometry_.ways; ++way) {
-    if (way->state == MesiState::kInvalid) {
-      victim = way;
+  // One pass: the first invalid way wins — a hole in the used prefix, else
+  // the first never-used way; a full set evicts true-LRU (stamps are
+  // unique, so the oldest way is well defined).
+  std::uint8_t& used = used_[w.set];
+  std::uint32_t victim = 0;
+  bool full = true;
+  for (std::uint32_t i = 0; i < used; ++i) {
+    if (k[i] == 0) {
+      victim = i;
+      full = false;
       break;
     }
+    if (lru[i] < lru[victim]) victim = i;
+  }
+  if (full && used < ways_) {
+    victim = used++;
+    full = false;
   }
   std::optional<Eviction> eviction;
-  if (!victim) {
-    victim = &*std::min_element(
-        base, base + geometry_.ways,
-        [](const Way& a, const Way& b) { return a.lru_stamp < b.lru_stamp; });
-    const Addr victim_addr =
-        (victim->tag * geometry_.num_sets() + geometry_.set_index(addr)) *
-        geometry_.line_bytes;
-    eviction = Eviction{victim_addr, victim->state};
-    notify(victim_addr, victim->state, MesiState::kInvalid);
+  if (full) {
+    eviction = Eviction{line_of_key(k[victim]), state_of_key(k[victim])};
+    notify(eviction->line_addr, eviction->state, MesiState::kInvalid);
   }
-  victim->tag = geometry_.tag(addr);
-  victim->state = state;
-  victim->lru_stamp = ++stamp_;
-  notify(geometry_.line_addr(addr), MesiState::kInvalid, state);
+  k[victim] = key | static_cast<std::uint64_t>(state);
+  lru[victim] = ++stamp_;
+  notify(w.line, MesiState::kInvalid, state);
   return eviction;
 }
 
-void Cache::set_state(Addr addr, MesiState state) {
-  Way* way = find(addr);
-  FSML_CHECK_MSG(way != nullptr, "set_state on a non-resident line");
-  notify(geometry_.line_addr(addr), way->state, state);
-  way->state = state;
+void Cache::set_state(const Way& w, MesiState state) {
+  FSML_CHECK_MSG(w.hit(), "set_state on a non-resident line");
+  FSML_DCHECK(state != MesiState::kInvalid);
+  FSML_DCHECK(handle_current(w));
+  std::uint64_t& key = keys(w.set)[w.way];
+  notify(w.line, state_of_key(key), state);
+  key = (key & ~kStateMask) | static_cast<std::uint64_t>(state);
 }
 
-MesiState Cache::invalidate(Addr addr) {
-  Way* way = find(addr);
-  if (!way) return MesiState::kInvalid;
-  const MesiState prior = way->state;
-  notify(geometry_.line_addr(addr), prior, MesiState::kInvalid);
-  way->state = MesiState::kInvalid;
+MesiState Cache::invalidate(const Way& w) {
+  if (!w.hit()) return MesiState::kInvalid;
+  FSML_DCHECK(handle_current(w));
+  std::uint64_t& key = keys(w.set)[w.way];
+  const MesiState prior = state_of_key(key);
+  notify(w.line, prior, MesiState::kInvalid);
+  key = 0;
   return prior;
 }
 
 std::size_t Cache::occupancy() const {
   std::size_t n = 0;
-  for (const Way& way : ways_)
-    if (way.state != MesiState::kInvalid) ++n;
+  for_each_line([&](Addr, MesiState) { ++n; });
   return n;
 }
 
 void Cache::for_each_line(
     const std::function<void(Addr, MesiState)>& visit) const {
-  for (std::size_t i = 0; i < ways_.size(); ++i) {
-    const Way& way = ways_[i];
-    if (way.state == MesiState::kInvalid) continue;
-    const std::uint64_t s = i / geometry_.ways;
-    const Addr addr =
-        (way.tag * geometry_.num_sets() + s) * geometry_.line_bytes;
-    visit(addr, way.state);
+  for (std::uint64_t s = 0; s < index_.num_sets(); ++s) {
+    const std::uint64_t* k = keys(static_cast<std::uint32_t>(s));
+    for (std::uint32_t i = 0; i < used_[s]; ++i)
+      if (k[i] != 0) visit(line_of_key(k[i]), state_of_key(k[i]));
   }
 }
 

@@ -177,8 +177,8 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
   }
 
   if (type == AccessType::kLoad) {
-    const MesiState s1 = node.l1.touch(line);
-    if (s1 != MesiState::kInvalid) {
+    const Cache::Way l1 = node.l1.touch(line);
+    if (l1.hit()) {
       // Present, but is the fill that brought it still in flight? Then the
       // load merges with the fill buffer entry rather than hitting L1
       // proper (MEM_LOAD_RETIRED.HIT_LFB) and waits for the fill.
@@ -200,11 +200,11 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
 
     count(core, RawEvent::kL1dLoadMiss, 1);
     count(core, RawEvent::kL2DemandRequests, 1);
-    const MesiState s2 = node.l2.touch(line);
-    if (s2 != MesiState::kInvalid) {
+    const Cache::Way l2 = node.l2.touch(line);
+    if (l2.hit()) {
       count(core, RawEvent::kL2Hit, 1);
       count(core, RawEvent::kMemLoadRetiredL2Hit, 1);
-      fill_private(core, line, s2);  // bring into L1 (L2 state unchanged)
+      fill_l1(core, l1, l2.state);  // bring into L1 (L2 state unchanged)
       result.level = ServiceLevel::kL2;
       result.latency += cm.l2_hit;
       // Hits on prefetched lines keep the streamer running ahead.
@@ -217,7 +217,8 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
       const LineResult lr =
           service_request(core, line, /*want_ownership=*/false,
                           now + result.latency);
-      fill_private(core, line, lr.fill_state);
+      fill_l2(core, l2, lr.fill_state);
+      fill_l1(core, l1, lr.fill_state);
       result.level = lr.level;
       result.latency += cm.latency_for(lr.level) + lr.extra_latency;
       node.lfb.insert(line, now + result.latency, now);
@@ -250,32 +251,34 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
   Cycles drain_latency = 0;
   bool fill_lfb = false;
 
-  const MesiState s1 = node.l1.touch(line);
-  if (s1 == MesiState::kModified) {
+  const Cache::Way l1 = node.l1.touch(line);
+  if (l1.state == MesiState::kModified) {
     count(core, RawEvent::kL1dStoreHit, 1);
     result.level = ServiceLevel::kL1;
     drain_latency = cm.l1_hit;
-  } else if (s1 == MesiState::kExclusive) {
+  } else if (l1.state == MesiState::kExclusive) {
     count(core, RawEvent::kL1dStoreHit, 1);
     count(core, RawEvent::kTransEM, 1);
-    node.l1.set_state(line, MesiState::kModified);
-    node.l2.set_state(line, MesiState::kModified);
+    node.l1.set_state(l1, MesiState::kModified);
+    node.l2.set_state(node.l2.state_of(line), MesiState::kModified);
     result.level = ServiceLevel::kL1;
     drain_latency = cm.l1_hit;
   } else {
     count(core, RawEvent::kL1dStoreMiss, 1);
     count(core, RawEvent::kL2DemandRequests, 1);
-    const MesiState s2 = node.l2.touch(line);
-    if (s2 == MesiState::kModified || s2 == MesiState::kExclusive) {
+    const Cache::Way l2 = node.l2.touch(line);
+    if (l2.state == MesiState::kModified ||
+        l2.state == MesiState::kExclusive) {
       count(core, RawEvent::kL2Hit, 1);
-      if (s2 == MesiState::kExclusive) count(core, RawEvent::kTransEM, 1);
-      node.l2.set_state(line, MesiState::kModified);
-      fill_private(core, line, MesiState::kModified);
+      if (l2.state == MesiState::kExclusive)
+        count(core, RawEvent::kTransEM, 1);
+      node.l2.set_state(l2, MesiState::kModified);
+      fill_l1(core, l1, MesiState::kModified);
       result.level = ServiceLevel::kL2;
       drain_latency = cm.l2_hit;
       // Keep a detected RFO stream running ahead.
       maybe_stream_prefetch(core, line, now, /*allocate=*/false);
-    } else if (s2 == MesiState::kShared) {
+    } else if (l2.state == MesiState::kShared) {
       // Upgrade: we hold the line Shared; invalidate every other holder.
       count(core, RawEvent::kL2Hit, 1);
       count(core, RawEvent::kL2RfoHitS, 1);
@@ -293,9 +296,8 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
         if (socket_of(peer) != socket_of(core)) remote_sharer = true;
       });
       invalidate_other_l3s(socket_of(core), line);
-      node.l2.set_state(line, MesiState::kModified);
-      if (node.l1.contains(line))
-        node.l1.set_state(line, MesiState::kModified);
+      node.l2.set_state(l2, MesiState::kModified);
+      if (l1.hit()) node.l1.set_state(l1, MesiState::kModified);
       result.level = ServiceLevel::kUpgrade;
       drain_latency = cm.upgrade;
       if (remote_sharer) {
@@ -309,7 +311,8 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
       count(core, RawEvent::kOffcoreRfo, 1);
       const LineResult lr = service_request(core, line, /*want_ownership=*/true,
                                             now + result.latency);
-      fill_private(core, line, MesiState::kModified);
+      fill_l2(core, l2, MesiState::kModified);
+      fill_l1(core, l1, MesiState::kModified);
       result.level = lr.level;
       drain_latency = cm.latency_for(lr.level) + lr.extra_latency;
       fill_lfb = true;
@@ -371,7 +374,8 @@ void MemorySystem::maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
   }
   for (std::size_t t = 0; t < num_targets; ++t) {
     const Addr target = targets[t];
-    if (node.l2.contains(target)) continue;
+    const Cache::Way l2 = node.l2.state_of(target);
+    if (l2.hit()) continue;
     // Never disturb a line another core owns (M/E) — the prefetcher queues
     // behind the coherence protocol on real parts too. One directory
     // lookup answers both probes the peer scan used to make.
@@ -384,8 +388,9 @@ void MemorySystem::maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
       sharer_index_.clear(s_mask, holders.owner);
     const bool shared_elsewhere = s_mask.any();
     if (owned_elsewhere) continue;
-    Cache& local_l3 = l3s_[socket_of(core)];
-    if (!local_l3.contains(target)) {
+    // Promotes the target to MRU in the local L3 if it is there.
+    const Cache::Way l3 = l3s_[socket_of(core)].touch(target);
+    if (!l3.hit()) {
       // Prefetches are the lowest-priority memory traffic: a saturated
       // channel refuses them (kPrefetchDropped) rather than queueing them —
       // otherwise the backlog they create would silently defer onto later
@@ -400,15 +405,13 @@ void MemorySystem::maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
                 ? RawEvent::kDramReadsLocal
                 : RawEvent::kDramReadsRemote,
             1);
-      fill_l3(socket_of(core), target, MesiState::kExclusive);
+      fill_l3(socket_of(core), l3, MesiState::kExclusive);
     } else {
       count(core, RawEvent::kHwPrefetchesIssued, 1);
-      local_l3.touch(target);
     }
     count(core, RawEvent::kPrefetchFillsL2, 1);
-    fill_private(core, target,
-                 shared_elsewhere ? MesiState::kShared : MesiState::kExclusive,
-                 /*fill_l1=*/false);
+    fill_l2(core, l2,
+            shared_elsewhere ? MesiState::kShared : MesiState::kExclusive);
     // A prefetch fill is "in flight" briefly; demand loads arriving before
     // it lands merge with it (HIT_LFB).
     node.lfb.insert(target, now + config_.cycles.l2_hit, now);
@@ -449,7 +452,7 @@ MemorySystem::AccessClass MemorySystem::classify_access(
   if (!node.dtlb.would_hit(line)) cls.latency += cm.tlb_walk;
 
   // The load half (plain loads, and the synchronous load of an RMW).
-  MesiState state = node.l1.state_of(line);
+  MesiState state = node.l1.state_of(line).state;
   if (type == AccessType::kLoad || type == AccessType::kRmw) {
     if (state != MesiState::kInvalid) {
       if (const auto completion = node.lfb.peek_pending_fill(line, now)) {
@@ -462,7 +465,7 @@ MemorySystem::AccessClass MemorySystem::classify_access(
       // L1 miss. An L2 hit fills only this core's L1 — local, unless it
       // would wake the stream prefetcher, whose burst probes the directory
       // and fills shared levels.
-      state = node.l2.state_of(line);
+      state = node.l2.state_of(line).state;
       if (state == MesiState::kInvalid) return {};
       if (stream_would_prefetch(core, line)) return {};
       cls.latency += cm.l2_hit;
@@ -489,7 +492,7 @@ MemorySystem::AccessClass MemorySystem::classify_access(
   // (E->M stays a core-private transition; the directory's owner-state
   // field update is in place on a line no concurrent probe may read).
   if (state != MesiState::kModified && state != MesiState::kExclusive) {
-    state = node.l2.state_of(line);
+    state = node.l2.state_of(line).state;
     if (state != MesiState::kModified && state != MesiState::kExclusive)
       return {};
     if (stream_would_prefetch(core, line)) return {};
@@ -545,7 +548,7 @@ Cycles MemorySystem::dram_queue_delay(Cycles now, Addr line, bool demand) {
 MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
                                                        bool want_ownership,
                                                        Cycles now) {
-  FSML_DCHECK(nodes_[core].l2.state_of(line) == MesiState::kInvalid);
+  FSML_DCHECK(!nodes_[core].l2.contains(line));
   const std::uint32_t my_socket = socket_of(core);
 
   // The (unique) M/E owner and the S sharers across every socket, from one
@@ -575,10 +578,11 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
     writeback_to_l3(owner_socket, line);
     if (want_ownership) {
       invalidate_other_l3s(my_socket, line);
-      writeback_to_l3(my_socket, line);
+      // Same socket: the writeback above already left the line M here.
+      if (owner_socket != my_socket) writeback_to_l3(my_socket, line);
       count(core, RawEvent::kInvalidationsSent, 1);
     } else if (owner_socket != my_socket) {
-      fill_l3(my_socket, line, MesiState::kShared);
+      fill_l3(my_socket, l3s_[my_socket].state_of(line), MesiState::kShared);
     }
     count(core, RawEvent::kHitmTransfersIn, 1);
     count(core,
@@ -594,10 +598,11 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
     snoop_peer(owner, line, want_ownership);
     if (want_ownership) {
       invalidate_other_l3s(my_socket, line);
-      fill_l3(my_socket, line, MesiState::kExclusive);
+      fill_l3(my_socket, l3s_[my_socket].state_of(line),
+              MesiState::kExclusive);
       count(core, RawEvent::kInvalidationsSent, 1);
     } else if (owner_socket != my_socket) {
-      fill_l3(my_socket, line, MesiState::kShared);
+      fill_l3(my_socket, l3s_[my_socket].state_of(line), MesiState::kShared);
     }
     count(core, RawEvent::kCleanTransfersIn, 1);
     return {ServiceLevel::kPeerHit,
@@ -606,9 +611,11 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
   }
 
   // No private owner. Serve from the nearest L3 holding the line.
-  const MesiState local_l3 = l3s_[my_socket].touch(line);
+  // Neither the peer snoops nor the other-socket invalidations below touch
+  // this socket's L3, so one probe serves every later use of it.
+  const Cache::Way local_l3 = l3s_[my_socket].touch(line);
   std::uint32_t home_socket = my_socket;
-  if (local_l3 == MesiState::kInvalid) {
+  if (!local_l3.hit()) {
     bool found = false;
     for (std::uint32_t sock = 0; sock < l3s_.size(); ++sock) {
       if (sock == my_socket) continue;
@@ -629,7 +636,7 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
             dram_home == my_socket ? RawEvent::kDramReadsLocal
                                    : RawEvent::kDramReadsRemote,
             1);
-      fill_l3(my_socket, line, MesiState::kExclusive);
+      fill_l3(my_socket, local_l3, MesiState::kExclusive);
       Cycles extra = dram_queue_delay(now, line);
       if (dram_home != my_socket) {
         count(core, RawEvent::kCrossSocketTransfers, 1);
@@ -650,13 +657,12 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
       count(core, RawEvent::kInvalidationsSent, 1);
     });
     invalidate_other_l3s(my_socket, line);
-    if (!l3s_[my_socket].contains(line))
-      fill_l3(my_socket, line, MesiState::kExclusive);
+    if (!local_l3.hit())
+      fill_l3(my_socket, local_l3, MesiState::kExclusive);
     return {ServiceLevel::kL3, MesiState::kModified,
             qpi_extra(home_socket)};
   }
-  if (!l3s_[my_socket].contains(line))
-    fill_l3(my_socket, line, MesiState::kShared);
+  if (!local_l3.hit()) fill_l3(my_socket, local_l3, MesiState::kShared);
   return {ServiceLevel::kL3,
           sharer_mask.none() ? MesiState::kExclusive : MesiState::kShared,
           qpi_extra(home_socket)};
@@ -665,7 +671,7 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
 MemorySystem::LineHolders MemorySystem::scan_line_holders(Addr line) const {
   LineHolders h;
   for (CoreId peer = 0; peer < nodes_.size(); ++peer) {
-    const MesiState s = nodes_[peer].l2.state_of(line);
+    const MesiState s = nodes_[peer].l2.state_of(line).state;
     if (s == MesiState::kInvalid) continue;
     sharer_index_.set(h.sharers, peer);
     if (s == MesiState::kModified || s == MesiState::kExclusive) {
@@ -698,8 +704,10 @@ MemorySystem::LineHolders MemorySystem::line_holders(Addr line) const {
 MesiState MemorySystem::snoop_peer(CoreId peer, Addr line,
                                    bool for_ownership) {
   CoreNode& node = nodes_[peer];
-  const MesiState s = node.l2.state_of(line);
+  const Cache::Way l2 = node.l2.state_of(line);
+  const MesiState s = l2.state;
   if (s == MesiState::kInvalid) return s;
+  const Cache::Way l1 = node.l1.state_of(line);
   count(peer, RawEvent::kSnoopRequestsReceived, 1);
   switch (s) {
     case MesiState::kModified:
@@ -707,12 +715,12 @@ MesiState MemorySystem::snoop_peer(CoreId peer, Addr line,
       if (for_ownership) {
         count(peer, RawEvent::kTransMI, 1);
         count(peer, RawEvent::kInvalidationsReceived, 1);
-        node.l1.invalidate(line);
-        node.l2.invalidate(line);
+        node.l1.invalidate(l1);
+        node.l2.invalidate(l2);
       } else {
         count(peer, RawEvent::kTransMS, 1);
-        if (node.l1.contains(line)) node.l1.set_state(line, MesiState::kShared);
-        node.l2.set_state(line, MesiState::kShared);
+        if (l1.hit()) node.l1.set_state(l1, MesiState::kShared);
+        node.l2.set_state(l2, MesiState::kShared);
       }
       break;
     case MesiState::kExclusive:
@@ -720,12 +728,12 @@ MesiState MemorySystem::snoop_peer(CoreId peer, Addr line,
       if (for_ownership) {
         count(peer, RawEvent::kTransEI, 1);
         count(peer, RawEvent::kInvalidationsReceived, 1);
-        node.l1.invalidate(line);
-        node.l2.invalidate(line);
+        node.l1.invalidate(l1);
+        node.l2.invalidate(l2);
       } else {
         count(peer, RawEvent::kTransES, 1);
-        if (node.l1.contains(line)) node.l1.set_state(line, MesiState::kShared);
-        node.l2.set_state(line, MesiState::kShared);
+        if (l1.hit()) node.l1.set_state(l1, MesiState::kShared);
+        node.l2.set_state(l2, MesiState::kShared);
       }
       break;
     case MesiState::kShared:
@@ -733,8 +741,8 @@ MesiState MemorySystem::snoop_peer(CoreId peer, Addr line,
       FSML_DCHECK(for_ownership);  // read requests never snoop S holders
       count(peer, RawEvent::kTransSI, 1);
       count(peer, RawEvent::kInvalidationsReceived, 1);
-      node.l1.invalidate(line);
-      node.l2.invalidate(line);
+      node.l1.invalidate(l1);
+      node.l2.invalidate(l2);
       break;
     case MesiState::kInvalid:
       break;
@@ -758,60 +766,59 @@ void MemorySystem::record_fill_transition(CoreId core, MesiState state) {
   }
 }
 
-void MemorySystem::fill_private(CoreId core, Addr line, MesiState state,
-                                bool fill_l1) {
+void MemorySystem::fill_l2(CoreId core, const Cache::Way& l2,
+                           MesiState state) {
   CoreNode& node = nodes_[core];
-
-  if (node.l2.state_of(line) == MesiState::kInvalid) {
-    count(core, RawEvent::kL2Fill, 1);
-    record_fill_transition(core, state);
-    switch (state) {
-      case MesiState::kShared:
-        count(core, RawEvent::kL2LinesInS, 1);
-        break;
-      case MesiState::kExclusive:
-        count(core, RawEvent::kL2LinesInE, 1);
-        break;
-      case MesiState::kModified:
-        count(core, RawEvent::kL2LinesInM, 1);
-        break;
-      case MesiState::kInvalid:
-        break;
-    }
-    const auto evicted = node.l2.fill(line, state);
-    if (evicted) {
-      // Inclusion: the victim leaves L1 too; its dirtiness travels along.
-      const MesiState l1_victim = node.l1.invalidate(evicted->line_addr);
-      const bool dirty = evicted->state == MesiState::kModified ||
-                         l1_victim == MesiState::kModified;
-      if (dirty) {
-        count(core, RawEvent::kL2LinesOutDemandDirty, 1);
-        writeback_to_l3(socket_of(core), evicted->line_addr);
-      } else {
-        count(core, RawEvent::kL2LinesOutDemandClean, 1);
-      }
-    }
-  } else {
-    node.l2.set_state(line, state);
+  count(core, RawEvent::kL2Fill, 1);
+  record_fill_transition(core, state);
+  switch (state) {
+    case MesiState::kShared:
+      count(core, RawEvent::kL2LinesInS, 1);
+      break;
+    case MesiState::kExclusive:
+      count(core, RawEvent::kL2LinesInE, 1);
+      break;
+    case MesiState::kModified:
+      count(core, RawEvent::kL2LinesInM, 1);
+      break;
+    case MesiState::kInvalid:
+      break;
   }
-
-  if (!fill_l1) return;
-  if (node.l1.state_of(line) == state) return;
-  count(core, RawEvent::kL1dReplacement, 1);
-  const auto evicted = node.l1.fill(line, state);
-  if (evicted) {
-    if (evicted->state == MesiState::kModified) {
-      count(core, RawEvent::kL1dEvictDirty, 1);
-      // Writeback into L2; inclusion guarantees the line is resident there.
-      node.l2.set_state(evicted->line_addr, MesiState::kModified);
-    } else {
-      count(core, RawEvent::kL1dEvictClean, 1);
-    }
+  const auto evicted = node.l2.fill(l2, state);
+  if (!evicted) return;
+  // Inclusion: the victim leaves L1 too; its dirtiness travels along.
+  const MesiState l1_victim =
+      node.l1.invalidate(node.l1.state_of(evicted->line_addr));
+  const bool dirty = evicted->state == MesiState::kModified ||
+                     l1_victim == MesiState::kModified;
+  if (dirty) {
+    count(core, RawEvent::kL2LinesOutDemandDirty, 1);
+    writeback_to_l3(socket_of(core), evicted->line_addr);
+  } else {
+    count(core, RawEvent::kL2LinesOutDemandClean, 1);
   }
 }
 
-void MemorySystem::fill_l3(std::uint32_t socket, Addr line, MesiState state) {
-  const auto evicted = l3s_[socket].fill(line, state);
+void MemorySystem::fill_l1(CoreId core, const Cache::Way& l1,
+                           MesiState state) {
+  CoreNode& node = nodes_[core];
+  if (l1.state == state) return;
+  count(core, RawEvent::kL1dReplacement, 1);
+  const auto evicted = node.l1.fill(l1, state);
+  if (!evicted) return;
+  if (evicted->state == MesiState::kModified) {
+    count(core, RawEvent::kL1dEvictDirty, 1);
+    // Writeback into L2; inclusion guarantees the line is resident there.
+    node.l2.set_state(node.l2.state_of(evicted->line_addr),
+                      MesiState::kModified);
+  } else {
+    count(core, RawEvent::kL1dEvictClean, 1);
+  }
+}
+
+void MemorySystem::fill_l3(std::uint32_t socket, const Cache::Way& l3,
+                           MesiState state) {
+  const auto evicted = l3s_[socket].fill(l3, state);
   if (!evicted) return;
   // Inclusion: back-invalidate the victim in this socket's cores; a
   // Modified private copy (or a dirty L3 copy) must reach memory.
@@ -819,12 +826,14 @@ void MemorySystem::fill_l3(std::uint32_t socket, Addr line, MesiState state) {
   for (CoreId peer = 0; peer < nodes_.size(); ++peer) {
     if (socket_of(peer) != socket) continue;
     CoreNode& node = nodes_[peer];
-    const MesiState s = node.l2.state_of(evicted->line_addr);
+    const Cache::Way l2 = node.l2.state_of(evicted->line_addr);
+    const MesiState s = l2.state;
     if (s == MesiState::kInvalid) continue;
     if (s == MesiState::kModified) dirty = true;
-    const MesiState l1s = node.l1.invalidate(evicted->line_addr);
+    const MesiState l1s =
+        node.l1.invalidate(node.l1.state_of(evicted->line_addr));
     if (l1s == MesiState::kModified) dirty = true;
-    node.l2.invalidate(evicted->line_addr);
+    node.l2.invalidate(l2);
     count(peer, RawEvent::kInvalidationsReceived, 1);
     switch (s) {
       case MesiState::kModified:
@@ -848,17 +857,18 @@ void MemorySystem::fill_l3(std::uint32_t socket, Addr line, MesiState state) {
 }
 
 void MemorySystem::writeback_to_l3(std::uint32_t socket, Addr line) {
-  if (l3s_[socket].contains(line)) {
-    l3s_[socket].set_state(line, MesiState::kModified);
+  const Cache::Way l3 = l3s_[socket].state_of(line);
+  if (l3.hit()) {
+    l3s_[socket].set_state(l3, MesiState::kModified);
   } else {
-    fill_l3(socket, line, MesiState::kModified);
+    fill_l3(socket, l3, MesiState::kModified);
   }
 }
 
 void MemorySystem::invalidate_other_l3s(std::uint32_t keep_socket,
                                         Addr line) {
   for (std::uint32_t sock = 0; sock < l3s_.size(); ++sock)
-    if (sock != keep_socket) l3s_[sock].invalidate(line);
+    if (sock != keep_socket) l3s_[sock].invalidate(l3s_[sock].state_of(line));
 }
 
 bool MemorySystem::check_coherence_invariant() const {
@@ -877,7 +887,7 @@ bool MemorySystem::check_coherence_invariant() const {
   for (const CoreNode& node : nodes_) {
     // L1 state must agree with the same core's L2 (or be absent).
     node.l1.for_each_line([&](Addr line, MesiState s) {
-      if (node.l2.state_of(line) != s) ok = false;
+      if (node.l2.state_of(line).state != s) ok = false;
     });
     if (!ok) return false;
   }

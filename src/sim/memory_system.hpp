@@ -235,16 +235,19 @@ class MemorySystem {
   /// counts responder-side events. Returns the peer's prior state.
   MesiState snoop_peer(CoreId peer, Addr line, bool for_ownership);
 
-  /// Fills `line` into core's L2 (and, unless `fill_l1` is false, L1) in
-  /// `state`, handling evictions, inclusion back-invalidations and writeback
-  /// counting. Store misses leave L1 unfilled so that subsequent loads can
-  /// merge with the in-flight fill (LFB hit).
-  void fill_private(CoreId core, Addr line, MesiState state,
-                    bool fill_l1 = true);
+  /// Fills the probed line (an L2 miss) into core's L2 in `state`,
+  /// handling the eviction, its inclusion back-invalidation from L1 and
+  /// writeback counting.
+  void fill_l2(CoreId core, const Cache::Way& l2, MesiState state);
 
-  /// Fills into `socket`'s L3, back-invalidating the victim line in that
-  /// socket's cores.
-  void fill_l3(std::uint32_t socket, Addr line, MesiState state);
+  /// Fills the probed line into core's L1 in `state` (no-op if it is
+  /// already there in that state); a dirty L1 victim is written back into
+  /// the (inclusive) L2.
+  void fill_l1(CoreId core, const Cache::Way& l1, MesiState state);
+
+  /// Fills the probed line into `socket`'s L3, back-invalidating the victim
+  /// line in that socket's cores.
+  void fill_l3(std::uint32_t socket, const Cache::Way& l3, MesiState state);
 
   /// Writes back a dirty private line into `socket`'s L3.
   void writeback_to_l3(std::uint32_t socket, Addr line);

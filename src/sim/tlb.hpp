@@ -36,6 +36,7 @@ class Dtlb {
 
   std::uint32_t ways_;
   std::uint32_t page_bytes_;
+  std::uint32_t page_shift_;  ///< log2(page_bytes_): vpn = addr >> page_shift_
   std::uint64_t num_sets_;
   std::vector<Entry> entries_;  // sets_ * ways_ flattened
   std::uint64_t stamp_ = 0;

@@ -11,6 +11,7 @@
 #include "core/detector.hpp"
 #include "core/event_selection.hpp"
 #include "core/training.hpp"
+#include "temp_path.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -160,7 +161,7 @@ TEST(Training, SaveCsvRoundTripsThroughFooter) {
 
 class TrainingCache : public ::testing::Test {
  protected:
-  TrainingCache() : path_(::testing::TempDir() + "fsml_cache_test.csv") {
+  TrainingCache() : path_(test_util::unique_temp_path("cache.csv")) {
     std::remove(path_.c_str());
     config_ = core::TrainingConfig::reduced();
     config_.thread_counts = {3};  // smallest useful grid: re-collected twice

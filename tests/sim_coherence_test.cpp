@@ -37,8 +37,8 @@ TEST(Coherence, ColdStoreMissFetchesOwnershipFromDram) {
   EXPECT_EQ(c.get(RawEvent::kDramReads), 1u);
   EXPECT_EQ(c.get(RawEvent::kL2LinesInM), 1u);
   EXPECT_EQ(c.get(RawEvent::kTransIM), 1u);
-  EXPECT_EQ(mem.l1(0).state_of(kLine), MesiState::kModified);
-  EXPECT_EQ(mem.l2(0).state_of(kLine), MesiState::kModified);
+  EXPECT_EQ(mem.l1(0).state_of(kLine).state, MesiState::kModified);
+  EXPECT_EQ(mem.l2(0).state_of(kLine).state, MesiState::kModified);
   EXPECT_TRUE(mem.l3().contains(kLine));
 }
 
@@ -63,8 +63,8 @@ TEST(Coherence, ReadOfPeerModifiedLineIsHitm) {
   EXPECT_EQ(mem.counters(1).get(RawEvent::kHitmTransfersIn), 1u);
   EXPECT_EQ(mem.counters(1).get(RawEvent::kMemLoadRetiredPeer), 1u);
   // Both copies end Shared.
-  EXPECT_EQ(mem.l2(0).state_of(kLine), MesiState::kShared);
-  EXPECT_EQ(mem.l2(1).state_of(kLine), MesiState::kShared);
+  EXPECT_EQ(mem.l2(0).state_of(kLine).state, MesiState::kShared);
+  EXPECT_EQ(mem.l2(1).state_of(kLine).state, MesiState::kShared);
   EXPECT_TRUE(mem.check_coherence_invariant());
 }
 
@@ -81,8 +81,8 @@ TEST(Coherence, StoreToSharedLineUpgrades) {
   EXPECT_EQ(mem.counters(0).get(RawEvent::kInvalidationsReceived), 1u);
   EXPECT_EQ(mem.counters(0).get(RawEvent::kSnoopResponseHit), 1u);
   EXPECT_EQ(mem.counters(0).get(RawEvent::kTransSI), 1u);
-  EXPECT_EQ(mem.l2(0).state_of(kLine), MesiState::kInvalid);
-  EXPECT_EQ(mem.l2(1).state_of(kLine), MesiState::kModified);
+  EXPECT_EQ(mem.l2(0).state_of(kLine).state, MesiState::kInvalid);
+  EXPECT_EQ(mem.l2(1).state_of(kLine).state, MesiState::kModified);
 }
 
 TEST(Coherence, StoreStealsPeerModifiedLine) {
@@ -92,20 +92,20 @@ TEST(Coherence, StoreStealsPeerModifiedLine) {
   EXPECT_EQ(r.level, ServiceLevel::kPeerHitM);
   EXPECT_EQ(mem.counters(0).get(RawEvent::kSnoopResponseHitM), 1u);
   EXPECT_EQ(mem.counters(0).get(RawEvent::kTransMI), 1u);
-  EXPECT_EQ(mem.l2(0).state_of(kLine), MesiState::kInvalid);
-  EXPECT_EQ(mem.l2(1).state_of(kLine), MesiState::kModified);
+  EXPECT_EQ(mem.l2(0).state_of(kLine).state, MesiState::kInvalid);
+  EXPECT_EQ(mem.l2(1).state_of(kLine).state, MesiState::kModified);
 }
 
 TEST(Coherence, ReadOfPeerExclusiveLineDowngrades) {
   sim::MemorySystem mem(cfg2());
   mem.access(0, kLine, 8, AccessType::kLoad, 0);  // E at core 0
-  EXPECT_EQ(mem.l2(0).state_of(kLine), MesiState::kExclusive);
+  EXPECT_EQ(mem.l2(0).state_of(kLine).state, MesiState::kExclusive);
   const auto r = mem.access(1, kLine, 8, AccessType::kLoad, 1000);
   EXPECT_EQ(r.level, ServiceLevel::kPeerHit);
   EXPECT_EQ(mem.counters(0).get(RawEvent::kSnoopResponseHitE), 1u);
   EXPECT_EQ(mem.counters(0).get(RawEvent::kTransES), 1u);
-  EXPECT_EQ(mem.l2(0).state_of(kLine), MesiState::kShared);
-  EXPECT_EQ(mem.l2(1).state_of(kLine), MesiState::kShared);
+  EXPECT_EQ(mem.l2(0).state_of(kLine).state, MesiState::kShared);
+  EXPECT_EQ(mem.l2(1).state_of(kLine).state, MesiState::kShared);
 }
 
 TEST(Coherence, ReadSharedByTwoPeersComesFromL3WithoutSnoops) {
@@ -128,7 +128,7 @@ TEST(Coherence, RmwIsLoadPlusStore) {
   // Load part missed to DRAM, store part upgraded the E line.
   EXPECT_EQ(c.get(RawEvent::kL1dLoadMiss), 1u);
   EXPECT_EQ(c.get(RawEvent::kTransEM), 1u);
-  EXPECT_EQ(mem.l1(0).state_of(kLine), MesiState::kModified);
+  EXPECT_EQ(mem.l1(0).state_of(kLine).state, MesiState::kModified);
 }
 
 TEST(Coherence, RmwOnPeerModifiedLinePaysHitmSynchronously) {
@@ -158,7 +158,7 @@ TEST(Coherence, CountingDisabledLeavesCountersZero) {
   EXPECT_EQ(mem.aggregate_counters().get(RawEvent::kInstructionsRetired), 0u);
   EXPECT_EQ(mem.aggregate_counters().get(RawEvent::kSnoopResponseHitM), 0u);
   // Coherence still behaves normally.
-  EXPECT_EQ(mem.l2(1).state_of(kLine), MesiState::kShared);
+  EXPECT_EQ(mem.l2(1).state_of(kLine).state, MesiState::kShared);
 }
 
 // ---- prefetcher ---------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/time_format.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -295,7 +296,7 @@ TEST(Crc32, DetectsSingleBitFlip) {
 
 class AtomicFileTest : public ::testing::Test {
  protected:
-  AtomicFileTest() : path_(::testing::TempDir() + "fsml_atomic_test.txt") {
+  AtomicFileTest() : path_(test_util::unique_temp_path("atomic_test.txt")) {
     std::remove(path_.c_str());
   }
   ~AtomicFileTest() override { std::remove(path_.c_str()); }
