@@ -13,8 +13,8 @@ MachineConfig validated(MachineConfig config) {
   return config;
 }
 
-// Stream-prefetcher look-ahead window and burst size (shared between
-// maybe_stream_prefetch and its read-only stream_would_prefetch probe).
+// Stream-prefetcher look-ahead window and burst size used by
+// maybe_stream_prefetch.
 // Prefetches are issued in bursts of consecutive lines so the DRAM bank
 // sees row hits: steady-state one-line-at-a-time prefetching from many
 // interleaved streams would turn every transfer into a row activation and
@@ -417,92 +417,6 @@ void MemorySystem::maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
     node.lfb.insert(target, now + config_.cycles.l2_hit, now);
   }
 }
-
-bool MemorySystem::stream_would_prefetch(CoreId core, Addr line) const {
-  const CoreNode& node = nodes_[core];
-  const Addr line_bytes = config_.l1d.line_bytes;
-  // Mirror of maybe_stream_prefetch's frontier match (first hit wins) and
-  // hysteresis test; the callers that pair with this probe never allocate,
-  // so a missing frontier means no mutation at all.
-  for (const Addr next : node.stream_table) {
-    if (next == 0) continue;
-    if (line + line_bytes >= next - kPrefetchAhead * line_bytes &&
-        line < next + line_bytes) {
-      return next <= line + (kPrefetchAhead - kPrefetchBurst) * line_bytes;
-    }
-  }
-  return false;
-}
-
-MemorySystem::AccessClass MemorySystem::classify_access(
-    CoreId core, Addr addr, std::uint32_t size, AccessType type,
-    Cycles now) const {
-  FSML_DCHECK(core < nodes_.size());
-  // A straddling access couples its lines (the first line's fill can evict
-  // the second before it is touched), so only single-line accesses are
-  // candidates for group-local execution.
-  if (config_.l1d.line_addr(addr) !=
-      config_.l1d.line_addr(addr + size - 1))
-    return {};
-  const Addr line = config_.l1d.line_addr(addr);
-  const CoreNode& node = nodes_[core];
-  const CycleModel& cm = config_.cycles;
-
-  AccessClass cls;
-  if (!node.dtlb.would_hit(line)) cls.latency += cm.tlb_walk;
-
-  // The load half (plain loads, and the synchronous load of an RMW).
-  MesiState state = node.l1.state_of(line).state;
-  if (type == AccessType::kLoad || type == AccessType::kRmw) {
-    if (state != MesiState::kInvalid) {
-      if (const auto completion = node.lfb.peek_pending_fill(line, now)) {
-        const Cycles wait = *completion > now ? *completion - now : 0;
-        cls.latency += std::max<Cycles>(cm.lfb_hit, wait);
-      } else {
-        cls.latency += cm.l1_hit;
-      }
-    } else {
-      // L1 miss. An L2 hit fills only this core's L1 — local, unless it
-      // would wake the stream prefetcher, whose burst probes the directory
-      // and fills shared levels.
-      state = node.l2.state_of(line).state;
-      if (state == MesiState::kInvalid) return {};
-      if (stream_would_prefetch(core, line)) return {};
-      cls.latency += cm.l2_hit;
-    }
-    if (type == AccessType::kLoad) {
-      cls.local = true;
-      return cls;
-    }
-    // RMW store half: after the load half the line sits in L1 in `state`;
-    // anything short of M/E means an upgrade (peer invalidations).
-    if (state != MesiState::kModified && state != MesiState::kExclusive)
-      return {};
-    // Its second translation always hits (the load half installed the
-    // page), so the store half adds only commit + store-buffer stall at
-    // its own issue time.
-    cls.latency +=
-        cm.store_commit + node.store_buffer.peek_stall(now + cls.latency);
-    cls.local = true;
-    return cls;
-  }
-
-  // Plain store: local only while ownership is already held — an L1 M/E
-  // hit, or an L2 M/E hit whose fill touches nothing outside this core
-  // (E->M stays a core-private transition; the directory's owner-state
-  // field update is in place on a line no concurrent probe may read).
-  if (state != MesiState::kModified && state != MesiState::kExclusive) {
-    state = node.l2.state_of(line).state;
-    if (state != MesiState::kModified && state != MesiState::kExclusive)
-      return {};
-    if (stream_would_prefetch(core, line)) return {};
-  }
-  cls.latency += cm.store_commit + node.store_buffer.peek_stall(now);
-  cls.local = true;
-  return cls;
-}
-
-
 
 Cycles MemorySystem::dram_queue_delay(Cycles now, Addr line, bool demand) {
   const Addr row = line / config_.cycles.dram_row_bytes;

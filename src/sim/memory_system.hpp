@@ -69,29 +69,6 @@ class MemorySystem {
   AccessResult access(CoreId core, Addr addr, std::uint32_t size,
                       AccessType type, Cycles now);
 
-  /// Verdict of classify_access: whether applying the access would touch
-  /// only `core`-private state, and if so the exact latency access() will
-  /// charge for it.
-  struct AccessClass {
-    bool local = false;
-    Cycles latency = 0;
-  };
-
-  /// Read-only oracle for the epoch-parallel scheduler: decides whether
-  /// access() for these arguments would mutate only core-private state
-  /// (own L1/L2/DTLB/store-buffer/LFB/stream-table/counters, plus in-place
-  /// owner-state updates on lines this core already holds exclusively) —
-  /// in which case it commutes with other groups' local accesses and may
-  /// run without global ordering — or would reach shared structures
-  /// (directory probes, L3, peer snoops, DRAM, prefetch bursts, upgrades),
-  /// which must commit in exact (clock, tid) order. For a local verdict,
-  /// `latency` is exactly what access() will return; the scheduler uses it
-  /// as its conservative lookahead bound and cross-checks it at apply time.
-  AccessClass classify_access(CoreId core, Addr addr, std::uint32_t size,
-                              AccessType type, Cycles now) const;
-
-  bool has_observers() const { return !observers_.empty(); }
-
   /// Accounts `n` retired non-memory instructions on `core`.
   void retire_instructions(CoreId core, std::uint64_t n);
 
@@ -224,12 +201,6 @@ class MemorySystem {
   /// `allocate` is true on demand misses (may start tracking a new stream).
   void maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
                              bool allocate);
-
-  /// Whether maybe_stream_prefetch(core, line, ...) would issue a burst
-  /// (and therefore probe the directory and touch shared fill state), as
-  /// opposed to doing nothing or only core-local bookkeeping. Read-only;
-  /// shares the frontier-matching and hysteresis logic above.
-  bool stream_would_prefetch(CoreId core, Addr line) const;
 
   /// Snoop `peer` for `line`; downgrades (read) or invalidates (write) and
   /// counts responder-side events. Returns the peer's prior state.

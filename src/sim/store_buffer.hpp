@@ -49,14 +49,6 @@ class DrainQueue {
     return q_.front() > now ? q_.front() - now : 0;
   }
 
-  /// What retire_completed(now) + stall_until_slot(now) would report,
-  /// without dropping completed entries (read-only access classification).
-  Cycles peek_stall(Cycles now) const {
-    const auto first_live = std::upper_bound(q_.begin(), q_.end(), now);
-    if (static_cast<std::size_t>(q_.end() - first_live) < capacity_) return 0;
-    return *first_live - now;
-  }
-
   /// Enqueues a drain of `drain_latency` cycles starting when the least
   /// loaded drain port frees up; returns its completion time.
   Cycles push(Cycles now, Cycles drain_latency) {
@@ -96,14 +88,6 @@ class LineFillBuffer {
     prune(now);
     for (const Entry& e : entries_)
       if (e.line == line) return e.completion;
-    return std::nullopt;
-  }
-
-  /// What pending_fill(line, now) would report, without pruning expired
-  /// entries (read-only access classification).
-  std::optional<Cycles> peek_pending_fill(Addr line, Cycles now) const {
-    for (const Entry& e : entries_)
-      if (e.line == line && e.completion > now) return e.completion;
     return std::nullopt;
   }
 

@@ -44,15 +44,6 @@ bool Dtlb::access(Addr addr) {
   return false;
 }
 
-bool Dtlb::would_hit(Addr addr) const {
-  const std::uint64_t vpn = addr >> page_shift_;
-  const std::uint64_t set = vpn & (num_sets_ - 1);
-  const Entry* base = &entries_[set * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w)
-    if (base[w].valid && base[w].vpn == vpn) return true;
-  return false;
-}
-
 void Dtlb::reset() {
   for (Entry& e : entries_) e = Entry{};
   stamp_ = 0;

@@ -19,10 +19,6 @@ class Dtlb {
   /// Translates; returns true on hit. On miss, installs the mapping (LRU).
   bool access(Addr addr);
 
-  /// Whether access(addr) would hit, without installing or touching LRU
-  /// state (the parallel scheduler's read-only access classifier).
-  bool would_hit(Addr addr) const;
-
   void reset();
 
   std::uint32_t page_bytes() const { return page_bytes_; }

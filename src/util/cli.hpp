@@ -1,8 +1,10 @@
 // Minimal long-option command-line parsing for benches and examples.
 //
-// Supports "--name=value", "--name value" and boolean "--flag". Unknown
-// options raise, so typos in experiment scripts fail loudly instead of
-// silently running the default configuration.
+// Supports "--name=value", "--name value" and boolean "--flag". Every
+// "--name" is stored and unknown names are never rejected: a misspelled
+// option is ignored and its default is used. Values are checked only when
+// read, so a malformed or out-of-range value of an option the program asks
+// for does raise.
 #pragma once
 
 #include <cstdint>

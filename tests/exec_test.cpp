@@ -1,9 +1,14 @@
 // Tests for the execution substrate: arena layout, coroutine scheduling
-// (determinism, min-clock interleaving, exceptions), task composition and
-// the synchronization primitives' atomicity under the DES scheduler.
+// (determinism, min-clock interleaving, exceptions, cancellation), task
+// composition and the synchronization primitives' atomicity under the DES
+// scheduler.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "exec/machine.hpp"
 #include "exec/sync.hpp"
@@ -133,6 +138,28 @@ TEST(Machine, CycleBudgetGuardsAgainstRunaway) {
   EXPECT_THROW(m.run(/*max_cycles=*/10000), util::CheckFailure);
 }
 
+TEST(Machine, FirstKernelExceptionWins) {
+  // Two kernels throw at different virtual times; run() must surface the
+  // one the scheduler reaches first.
+  exec::Machine m(sim::MachineConfig::tiny(6), 1);
+  for (std::uint32_t t = 0; t < 6; ++t) {
+    m.spawn([t, a = m.arena().alloc_line_aligned(8)](
+                exec::ThreadCtx& ctx) -> exec::SimTask {
+      for (int i = 0; i < 500; ++i) {
+        co_await ctx.load(a);
+        if (t == 2 && i == 10) throw std::runtime_error("boom-early");
+        if (t == 4 && i == 400) throw std::runtime_error("boom-late");
+      }
+    });
+  }
+  try {
+    m.run();
+    FAIL() << "expected a kernel exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "boom-early");
+  }
+}
+
 TEST(Machine, ComputeRetiresInstructionsAndAdvancesClock) {
   exec::Machine m(sim::MachineConfig::tiny(1), 1);
   m.spawn([](exec::ThreadCtx& ctx) -> exec::SimTask {
@@ -193,6 +220,41 @@ TEST(Machine, PerThreadRngStreamsDiffer) {
   }
   m.run();
   EXPECT_NE(draws[0], draws[1]);
+}
+
+// ---- cancellation ----------------------------------------------------------
+
+TEST(MachineCancellation, PresetFlagCancelsPromptly) {
+  exec::Machine m(sim::MachineConfig::westmere_dp(8), 1);
+  std::atomic<bool> cancel{true};
+  m.set_cancel_flag(&cancel);
+  for (std::uint32_t t = 0; t < 8; ++t) {
+    m.spawn([a = m.arena().alloc_line_aligned(8)](
+                exec::ThreadCtx& ctx) -> exec::SimTask {
+      for (int i = 0; i < 2'000'000; ++i) co_await ctx.load(a);
+    });
+  }
+  EXPECT_THROW(m.run(), exec::Cancelled);
+}
+
+TEST(MachineCancellation, MidRunFlagStopsAnUnboundedKernel) {
+  // The scheduler polls the flag while kernels run: an unbounded kernel
+  // terminates only because another host thread cancels it.
+  exec::Machine m(sim::MachineConfig::westmere_dp(4), 1);
+  std::atomic<bool> cancel{false};
+  m.set_cancel_flag(&cancel);
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    m.spawn([a = m.arena().alloc_line_aligned(8)](
+                exec::ThreadCtx& ctx) -> exec::SimTask {
+      for (;;) co_await ctx.load(a);
+    });
+  }
+  std::thread trigger([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cancel.store(true);
+  });
+  EXPECT_THROW(m.run(), exec::Cancelled);
+  trigger.join();
 }
 
 // ---- sync primitives ------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Unit tests for the simulator's building blocks: geometry, the
 // set-associative tag store (LRU, eviction, invalidation, and a seeded
-// differential fuzz against a per-set LRU list), the DTLB, the drain queue
-// and the line-fill buffer.
+// differential fuzz against a per-set LRU list), the DTLB, the drain queue,
+// the line-fill buffer and the coherence-protocol auto-select policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "sim/cache.hpp"
 #include "sim/geometry.hpp"
+#include "sim/machine_config.hpp"
 #include "sim/store_buffer.hpp"
 #include "sim/tlb.hpp"
 #include "util/check.hpp"
@@ -509,6 +510,25 @@ TEST(LineFillBuffer, RecyclesOldestWhenFull) {
   EXPECT_FALSE(lfb.pending_fill(0x1000, 0).has_value());
   EXPECT_TRUE(lfb.pending_fill(0x2000, 0).has_value());
   EXPECT_TRUE(lfb.pending_fill(0x3000, 0).has_value());
+}
+
+// ---- coherence-protocol auto-select ---------------------------------------
+
+TEST(DirectoryAutoSelect, SmallMachinesUseTheSnoopScan) {
+  // At 1-2 cores a directory probe costs more than scanning the only other
+  // L2 (the 0.946x row in BENCH_sim.json); auto-select turns it off there
+  // unless explicitly forced.
+  EXPECT_FALSE(sim::MachineConfig::tiny(1).directory_enabled());
+  EXPECT_FALSE(sim::MachineConfig::tiny(2).directory_enabled());
+  EXPECT_TRUE(sim::MachineConfig::tiny(3).directory_enabled());
+  EXPECT_TRUE(sim::MachineConfig::westmere_dp(12).directory_enabled());
+
+  sim::MachineConfig forced_on = sim::MachineConfig::tiny(2);
+  forced_on.use_coherence_directory = true;
+  EXPECT_TRUE(forced_on.directory_enabled());
+  sim::MachineConfig forced_off = sim::MachineConfig::westmere_dp(12);
+  forced_off.use_coherence_directory = false;
+  EXPECT_FALSE(forced_off.directory_enabled());
 }
 
 }  // namespace
