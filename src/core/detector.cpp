@@ -44,22 +44,19 @@ void FalseSharingDetector::train(const ml::Dataset& dataset) {
   FSML_CHECK_MSG(dataset.num_attributes() == pmu::kNumFeatures,
                  "detector expects the 15 normalized Westmere features");
   tree_.train(dataset);
-  flat_ = tree_.compile();
+  flat_ = ml::FlatTree::compile(tree_);
   trained_ = true;
 }
 
 trainers::Mode FalseSharingDetector::classify(
     const pmu::FeatureVector& features) const {
   FSML_CHECK_MSG(trained_, "detector is not trained");
-  if (flat_ != nullptr) {
-    const int label = flat_->predict(features.values());
-    // The pointer tree stays the cross-validation reference: debug builds
-    // verify every flat lookup against it, like the coherence directory
-    // verifies against the snoop scan.
-    FSML_DCHECK(label == tree_.predict(features.values()));
-    return mode_of(label);
-  }
-  return mode_of(tree_.predict(features.values()));
+  const int label = flat_.predict(features.values());
+  // The pointer tree stays the test oracle: debug builds verify every flat
+  // lookup against it, like the coherence directory verifies against the
+  // snoop scan.
+  FSML_DCHECK(label == tree_.predict(features.values()));
+  return mode_of(label);
 }
 
 RobustVerdict FalseSharingDetector::classify_robust(
@@ -86,17 +83,14 @@ RobustVerdict FalseSharingDetector::classify_robust(
   if (out.classified == 0) return out;  // nothing usable: unknown
 
   std::vector<int> labels(out.classified);
-  if (config.use_flat_tree && flat_ != nullptr) {
-    flat_->classify_many(rows, pmu::kNumFeatures, labels);
+  flat_.classify_many(rows, pmu::kNumFeatures, labels);
 #ifndef NDEBUG
-    // Per-lookup cross-check against the pointer-tree reference.
-    std::vector<int> reference(out.classified);
-    tree_.classify_many(rows, pmu::kNumFeatures, reference);
-    FSML_DCHECK(labels == reference);
+  // Per-lookup cross-check against the pointer-tree oracle.
+  for (std::size_t r = 0; r < labels.size(); ++r)
+    FSML_DCHECK(labels[r] ==
+                tree_.predict(std::span<const double>(rows).subspan(
+                    r * pmu::kNumFeatures, pmu::kNumFeatures)));
 #endif
-  } else {
-    tree_.classify_many(rows, pmu::kNumFeatures, labels);
-  }
   for (const int label : labels)
     ++out.votes[static_cast<std::size_t>(label)];
 
@@ -149,7 +143,7 @@ FalseSharingDetector FalseSharingDetector::load(std::istream& is) {
   detector.tree_ = ml::C45Tree::load(is);
   // Model files persist only the pointer tree; the flat serving form is
   // always recompiled from it on load (single source of truth).
-  detector.flat_ = detector.tree_.compile();
+  detector.flat_ = ml::FlatTree::compile(detector.tree_);
   detector.trained_ = true;
   return detector;
 }
@@ -170,7 +164,7 @@ FalseSharingDetector FalseSharingDetector::load_file(const std::string& path) {
         path + ": model was trained with a different feature schema than "
                "this build expects — retrain with `fsml_analyze train "
                "--save-model=" + path + "`");
-  detector.flat_ = detector.tree_.compile();
+  detector.flat_ = ml::FlatTree::compile(detector.tree_);
   detector.trained_ = true;
   return detector;
 }

@@ -51,14 +51,6 @@ struct RobustConfig {
   /// hold; below it the detector abstains (verdict `unknown`).
   double min_confidence = 0.6;
 
-  /// Classify engine for the vote loop: the compiled ml::FlatTree batch
-  /// kernel (default) or the pointer tree, kept as the cross-validation
-  /// reference exactly like sim::MachineConfig::use_coherence_directory
-  /// keeps the snoop scan. Both produce bit-identical verdicts (debug
-  /// builds DCHECK that per lookup); the knob exists so benches can time
-  /// flat vs pointer and so a miscompile could be diagnosed in production.
-  bool use_flat_tree = true;
-
   /// Throws std::runtime_error on out-of-range values (repeats in 1..1001,
   /// min_confidence in [0, 1], NaN rejected).
   void validate() const;
@@ -115,11 +107,11 @@ class FalseSharingDetector {
 
   const ml::C45Tree& model() const { return tree_; }
 
-  /// The compiled flat serving form, rebuilt after every train()/load()
-  /// (the pointer tree stays the single persisted source of truth — model
-  /// files never carry the flat form, loaders recompile it). Null only
-  /// before training.
-  const ml::FlatTree* flat() const { return flat_.get(); }
+  /// The compiled flat serving form that classify() and classify_robust()
+  /// run, rebuilt after every train()/load() (the pointer tree stays the
+  /// single persisted source of truth — model files never carry the flat
+  /// form, loaders recompile it). Null only before training.
+  const ml::FlatTree* flat() const { return trained_ ? &flat_ : nullptr; }
 
   void save(std::ostream& os) const;
   static FalseSharingDetector load(std::istream& is);
@@ -128,7 +120,7 @@ class FalseSharingDetector {
 
  private:
   ml::C45Tree tree_;
-  std::shared_ptr<const ml::FlatTree> flat_;
+  ml::FlatTree flat_;
   bool trained_ = false;
 };
 

@@ -54,7 +54,7 @@ bool FaultInjector::should_hang(std::string_view site, std::string_view key,
 
 void FaultInjector::hang(const par::CancelToken& token) const {
   const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      std::chrono::steady_clock::now() + std::chrono::seconds(300);
   while (!token.cancelled()) {
     if (std::chrono::steady_clock::now() >= give_up) break;
     std::this_thread::sleep_for(std::chrono::microseconds(200));

@@ -109,9 +109,11 @@ class FaultInjector {
   bool should_hang(std::string_view site, std::string_view key,
                    int attempt) const;
 
-  /// Cooperative hang: sleeps until `token` is cancelled (with a 30 s
-  /// safety cap so a missing watchdog cannot wedge a test run), then
-  /// unwinds with CancelledError.
+  /// Cooperative hang: sleeps until `token` is cancelled, then unwinds
+  /// with CancelledError. A 300 s safety cap keeps a missing watchdog from
+  /// wedging a test run; it sits far above the deadlines tests derive from
+  /// measured collection times on slow (sanitized) builds, so a hang always
+  /// ends by its deadline and is reported as timed out.
   [[noreturn]] void hang(const par::CancelToken& token) const;
 
   /// Counts one completed job; raises InjectedAbort on the abort_after'th.

@@ -1,7 +1,5 @@
 #include "ml/c45.hpp"
 
-#include "ml/flat_tree.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <istream>
@@ -410,30 +408,27 @@ void accumulate_distribution(const C45Tree::Node& node,
 
 int C45Tree::predict(std::span<const double> x) const {
   FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
-  const std::size_t k = root_->class_counts.size();
-  double inline_buf[16];
-  if (k <= 16) return predict(x, std::span<double>(inline_buf, k));
-  std::vector<double> scratch(k);
-  return predict(x, scratch);
-}
-
-int C45Tree::predict(std::span<const double> x,
-                     std::span<double> scratch) const {
-  FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
   const Node* node = root_.get();
   while (!node->is_leaf) {
     const double v = x[node->attribute];
     if (is_missing(v)) {
       // Fractional descent from here on; argmax of the combined
       // distribution (ties resolve to the lowest class index, like
-      // max_element over class_counts does on the fast path).
-      FSML_CHECK_MSG(scratch.size() == root_->class_counts.size(),
-                     "predict scratch must have the trained class arity");
-      std::fill(scratch.begin(), scratch.end(), 0.0);
-      accumulate_distribution(*node, x, 1.0, scratch);
+      // max_element over class_counts does on the fast path). The class
+      // arity is tiny (3 for the detector), so a stack buffer keeps the
+      // NaN path allocation-free.
+      const std::size_t k = root_->class_counts.size();
+      double inline_buf[16];
+      std::vector<double> heap;
+      std::span<double> dist(inline_buf, std::min<std::size_t>(k, 16));
+      if (k > 16) {
+        heap.resize(k);
+        dist = heap;
+      }
+      std::fill(dist.begin(), dist.end(), 0.0);
+      accumulate_distribution(*node, x, 1.0, dist);
       return static_cast<int>(std::distance(
-          scratch.begin(),
-          std::max_element(scratch.begin(), scratch.end())));
+          dist.begin(), std::max_element(dist.begin(), dist.end())));
     }
     node = v <= node->threshold ? node->left.get() : node->right.get();
   }
@@ -445,31 +440,6 @@ std::vector<double> C45Tree::distribution(std::span<const double> x) const {
   std::vector<double> dist(root_->class_counts.size(), 0.0);
   accumulate_distribution(*root_, x, 1.0, dist);
   return dist;
-}
-
-void C45Tree::distribution_into(std::span<const double> x,
-                                std::span<double> out) const {
-  FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
-  FSML_CHECK_MSG(out.size() == root_->class_counts.size(),
-                 "distribution buffer must have the trained class arity");
-  std::fill(out.begin(), out.end(), 0.0);
-  accumulate_distribution(*root_, x, 1.0, out);
-}
-
-void C45Tree::classify_many(std::span<const double> xs, std::size_t stride,
-                            std::span<int> out) const {
-  FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
-  FSML_CHECK_MSG(stride >= 1, "classify_many stride must be >= 1");
-  FSML_CHECK_MSG(xs.size() >= stride * out.size(),
-                 "classify_many input block shorter than out.size() rows");
-  std::vector<double> scratch(root_->class_counts.size());
-  for (std::size_t r = 0; r < out.size(); ++r)
-    out[r] = predict(xs.subspan(r * stride, stride), scratch);
-}
-
-std::shared_ptr<const FlatTree> C45Tree::compile() const {
-  if (!root_) return nullptr;
-  return std::make_shared<const FlatTree>(FlatTree::compile(*this));
 }
 
 namespace {

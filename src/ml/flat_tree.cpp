@@ -188,23 +188,6 @@ int FlatTree::predict(std::span<const double> x) const {
   return classify_row(view(), x.data());
 }
 
-void FlatTree::distribution_into(std::span<const double> x,
-                                 std::span<double> out) const {
-  FSML_CHECK_MSG(!empty(), "FlatTree is not compiled");
-  FSML_CHECK_MSG(x.size() >= num_attributes_,
-                 "feature vector shorter than the training schema");
-  FSML_CHECK_MSG(out.size() == num_classes_,
-                 "distribution buffer must have num_classes() slots");
-  std::fill(out.begin(), out.end(), 0.0);
-  blend(view(), 0, x.data(), 1.0, out.data());
-}
-
-std::vector<double> FlatTree::distribution(std::span<const double> x) const {
-  std::vector<double> out(num_classes_, 0.0);
-  distribution_into(x, out);
-  return out;
-}
-
 void FlatTree::classify_many(std::span<const double> xs, std::size_t stride,
                              std::span<int> out) const {
   FSML_CHECK_MSG(!empty(), "FlatTree is not compiled");

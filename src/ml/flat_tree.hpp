@@ -1,9 +1,10 @@
 // FlatTree: a trained C45Tree compiled into one contiguous structure-of-
-// arrays node pool — the serving-side inference kernel.
+// arrays node pool — the only classify engine core::FalseSharingDetector
+// serves with.
 //
 // The pointer tree (c45.hpp) is the single source of truth: it is what
-// trains, prunes, serializes and persists. FlatTree is a *compiled form*
-// derived from it for the classify hot path:
+// trains, prunes, serializes and persists, and it is the test oracle.
+// FlatTree is a *compiled form* derived from it for the classify hot path:
 //
 //  * one allocation — every per-node array (attribute, threshold, child
 //    indices, leaf-distribution arena) lives in a single 8-byte-aligned
@@ -22,11 +23,11 @@
 //    C45Tree::predict/distribution.
 //
 // Bit-identity contract: for every input — clean or with NaN slots —
-// predict(), distribution() and classify_many() return results bit-
-// identical to the pointer tree they were compiled from. The compiler
-// copies raw training counts (never pre-normalized ratios) so every
-// floating-point expression evaluates in the same order on the same
-// values; tests/flat_tree_test.cpp fuzzes the contract and
+// predict() and classify_many() return the label of the pointer tree they
+// were compiled from. The compiler copies raw training counts (never
+// pre-normalized ratios) so every floating-point expression of the NaN
+// blend evaluates in the same order on the same values;
+// tests/flat_tree_test.cpp fuzzes the contract and
 // core::FalseSharingDetector cross-checks it per lookup in debug builds,
 // exactly like sim::CoherenceDirectory keeps the snoop scan as its
 // reference.
@@ -42,7 +43,7 @@ namespace fsml::ml {
 
 class FlatTree {
  public:
-  /// An empty (uncompiled) tree; predict/distribution on it throw.
+  /// An empty (uncompiled) tree; predict/classify_many on it throw.
   FlatTree() = default;
 
   /// Compiles a trained pointer tree. Throws util::CheckFailure when the
@@ -60,13 +61,6 @@ class FlatTree {
   /// Predicted class index; bit-identical to C45Tree::predict, including
   /// the fractional NaN descent and its first-max tie-break.
   int predict(std::span<const double> x) const;
-
-  /// Class membership distribution, accumulated into `out` (size
-  /// num_classes()) without allocating; bit-identical to
-  /// C45Tree::distribution.
-  void distribution_into(std::span<const double> x,
-                         std::span<double> out) const;
-  std::vector<double> distribution(std::span<const double> x) const;
 
   /// Batch classify: row r of the row-major block `xs` (rows of `stride`
   /// doubles, stride >= num_attributes()) yields out[r]. Exactly equal to

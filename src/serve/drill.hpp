@@ -101,13 +101,10 @@ struct DrillReport {
 
   std::string summary() const;
 
-  /// One JSON object (no schema header — the bench wraps scenarios into a
-  /// "fsml-bench-serve-v2" document). `extra` is raw JSON members (no
-  /// braces, no trailing comma) spliced in before the closing brace — the
-  /// bench uses it for classify-throughput rows.
+  /// One JSON object (no schema header — callers wrap scenarios into a
+  /// "fsml-bench-serve-v3" document).
   void write_json(std::ostream& os, const std::string& name,
-                  const DrillConfig& config,
-                  const std::string& extra = std::string()) const;
+                  const DrillConfig& config) const;
 };
 
 /// Simulates the ground-truth template runs a drill samples payloads from.

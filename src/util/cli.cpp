@@ -165,11 +165,4 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
                     });
 }
 
-std::vector<std::string> Cli::option_names() const {
-  std::vector<std::string> names;
-  names.reserve(options_.size());
-  for (const auto& [k, _] : options_) names.push_back(k);
-  return names;
-}
-
 }  // namespace fsml::util

@@ -48,9 +48,6 @@ class Cli {
 
   const std::string& program_name() const { return program_name_; }
 
-  /// Names consumed so far; used by benches to print effective config.
-  std::vector<std::string> option_names() const;
-
  private:
   std::string program_name_;
   std::map<std::string, std::string> options_;

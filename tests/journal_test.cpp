@@ -5,6 +5,7 @@
 // TSan in CI alongside the supervisor tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -184,7 +185,9 @@ TEST_F(ResumeFiles, FaultedSweepQuarantinesOnlyTheFaultedCells) {
   core::TrainingConfig config = tiny_config();
   config.filter = false;  // survivors map 1:1 onto clean rows
 
+  const auto clean_start = std::chrono::steady_clock::now();
   const core::TrainingData clean = core::collect_training_data(config);
+  const auto clean_wall = std::chrono::steady_clock::now() - clean_start;
 
   const trainers::MiniProgram& victim = *trainers::multithreaded_set()[0];
   const std::uint64_t size = victim.default_sizes()[0];
@@ -202,9 +205,15 @@ TEST_F(ResumeFiles, FaultedSweepQuarantinesOnlyTheFaultedCells) {
   core::CollectOptions options;
   options.injector = &injector;
   options.supervision.max_attempts = 2;
-  // Far above any legitimate reduced-config simulation, far below the
-  // suite timeout: only the injected hangs ever reach it.
-  options.supervision.deadline = std::chrono::milliseconds(2000);
+  // Only the injected hangs may reach the deadline. A legitimate job is one
+  // part of the clean collection above, on the same build and host, so it
+  // cannot take longer than that whole collection; twice its wall time
+  // holds on slow (e.g. sanitized) builds too.
+  options.supervision.deadline = std::max(
+      std::chrono::milliseconds(2000),
+      2 * std::chrono::ceil<std::chrono::milliseconds>(clean_wall));
+  SCOPED_TRACE("per-attempt deadline " +
+               std::to_string(options.supervision.deadline.count()) + " ms");
   options.supervision.backoff_base = std::chrono::milliseconds(0);
   options.supervision.backoff_cap = std::chrono::milliseconds(0);
   core::CollectReport report;
@@ -216,6 +225,7 @@ TEST_F(ResumeFiles, FaultedSweepQuarantinesOnlyTheFaultedCells) {
   EXPECT_EQ(report.quarantined[0].cell, plan.hang_keys[0]);
   EXPECT_EQ(report.quarantined[1].cell, plan.hang_keys[1]);
   EXPECT_TRUE(report.quarantined[0].failure.timed_out);
+  EXPECT_TRUE(report.quarantined[1].failure.timed_out);
   EXPECT_GT(report.retried_attempts, 0u);  // the injected throws were retried
 
   // Every surviving row is bit-identical to the clean run's row, in order.

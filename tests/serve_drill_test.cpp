@@ -5,10 +5,15 @@
 // populations, this suite runs small ones on every ctest invocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "core/detector.hpp"
 #include "core/training.hpp"
+#include "pmu/noise.hpp"
 #include "serve/drill.hpp"
 
 namespace {
@@ -157,6 +162,43 @@ TEST(ServeDrill, OverloadShedsInsteadOfGuessing) {
   expect_contracts(report);
   EXPECT_GT(report.shed + report.expired + report.abstained, 0u);
   EXPECT_GT(report.health.retry_afters, 0u);
+}
+
+TEST(ServeDrill, DegradedVotesMatchPointerTreeOracle) {
+  // The payloads a steady serve load classifies: the drill templates read
+  // through 4-counter multiplexing with 5% jitter. Runs shorter than one
+  // counter rotation lose whole events, so some rows carry NaN slots and
+  // take the fractional descent.
+  pmu::NoiseConfig noise;
+  noise.counters = 4;
+  noise.jitter = 0.05;
+  noise.seed = 42;
+  const pmu::MeasurementModel model(noise);
+  const core::FalseSharingDetector& detector = shared_detector();
+  const core::RobustConfig config;
+
+  std::size_t classified = 0, nan_rows = 0;
+  for (std::size_t t = 0; t < shared_templates().size(); ++t) {
+    const core::EvalRun& run = shared_templates()[t];
+    const std::uint64_t base = t * static_cast<std::uint64_t>(config.repeats);
+    std::array<std::size_t, 3> oracle{};
+    for (int r = 0; r < config.repeats; ++r) {
+      const pmu::DegradedSnapshot snapshot = model.measure(
+          run.result.aggregate, run.result.slices, base + r);
+      if (!snapshot.usable()) continue;
+      const pmu::FeatureVector f = snapshot.to_features();
+      if (std::any_of(f.values().begin(), f.values().end(),
+                      [](double v) { return std::isnan(v); }))
+        ++nan_rows;
+      ++oracle[static_cast<std::size_t>(detector.model().predict(f.values()))];
+    }
+    const core::RobustVerdict verdict =
+        core::classify_degraded(detector, run.result, model, config, base);
+    EXPECT_EQ(verdict.votes, oracle) << run.program << " template " << t;
+    classified += verdict.classified;
+  }
+  EXPECT_GT(classified, 0u);
+  EXPECT_GT(nan_rows, 0u) << "no payload exercised the NaN descent";
 }
 
 TEST(ServeDrill, ValidateRejectsBadConfig) {
